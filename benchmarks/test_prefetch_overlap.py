@@ -21,6 +21,7 @@ byte-identical in every mode.
 
 from __future__ import annotations
 
+import gc
 import os
 from pathlib import Path
 
@@ -38,14 +39,23 @@ WORKERS = 4
 
 
 def run_mode(points_p, points_q, **overrides):
-    return run_cij(
-        "nm",
-        points_p,
-        points_q,
-        storage="file",
-        fetch_latency=LATENCY,
-        **overrides,
-    )
+    # Each mode runs with the cyclic garbage collector paused, as timeit
+    # does.  Inside a full test session a generation-2 collection takes
+    # ~50 ms, about the stall difference the assertions below compare, and
+    # lands in whichever mode happens to cross the collector's threshold.
+    gc.collect()
+    gc.disable()
+    try:
+        return run_cij(
+            "nm",
+            points_p,
+            points_q,
+            storage="file",
+            fetch_latency=LATENCY,
+            **overrides,
+        )
+    finally:
+        gc.enable()
 
 
 def test_prefetch_hides_stall_time_on_file_backend(benchmark, bench_record):

@@ -214,9 +214,11 @@ def clip_halfplane_array(verts, a: float, b: float, c: float):
     # Crossing parameter t = vc / (vc - vn), meaningful only on crossing
     # edges (vc != vn there, since exactly one side clears the tolerance);
     # non-crossing denominators are patched to 1 so the division is safe.
+    # Clamped to [0, 1] like the scalar clip (an endpoint within tol of
+    # the line would otherwise extrapolate past the edge).
     denom = values - values_n
     denom[~crossing] = 1.0
-    t = values / denom
+    t = np.clip(values / denom, 0.0, 1.0)
     cross_pts = np.empty_like(verts)
     cross_pts[:, 0] = xs + t * (nxt[:, 0] - xs)
     cross_pts[:, 1] = ys + t * (nxt[:, 1] - ys)
@@ -327,6 +329,10 @@ def clip_ring(ring, a: float, b: float, c: float):
             append(ring[i])
         if cur_in != (vn <= tol):
             t = vc / (vc - vn)
+            if t < 0.0:  # clamped like ConvexPolygon.clip_halfplane
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
             x0, y0 = ring[i]
             x1, y1 = ring[j]
             append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
@@ -358,7 +364,7 @@ def refine_ring_nearest_first(ring, sx, sy, oxs, oys, ds, vdist, reach):
     candidates ``(oxs, oys)`` are pre-sorted by ascending distance ``ds``
     (plain Python lists), ``vdist``/``reach`` cache the ring's
     site-to-vertex distances and influence radius.  Replicates the scalar
-    walk of ``_approximate_cell`` / the BatchVoronoi pre-refinement
+    walk of the filter's ``_admits`` / the BatchVoronoi pre-refinement
     decision-for-decision: stop at the first candidate beyond the
     (continuously updated) radius, clip every candidate that beats a
     current vertex, never revisit a candidate skipped by Lemma 1.
@@ -439,7 +445,7 @@ def clip_halfplanes_nearest_first(
 ):
     """Nearest-first bisector clipping with Lemma-1 early termination.
 
-    The batch form of the scalar ``_approximate_cell`` /
+    The batch form of the scalar filter ``_admits`` /
     ``_MemberState.refine`` inner loop: given a site ``(sx, sy)``, its
     current cell ``verts`` (with cached site-to-vertex distances ``vdist``
     and influence radius ``reach``), and candidate neighbours ``(ox, oy)``

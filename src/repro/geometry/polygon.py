@@ -237,12 +237,16 @@ class ConvexPolygon:
         # sqrt(a*a + b*b) rather than math.hypot: multiply/add/sqrt are all
         # correctly rounded in both C and NumPy, so the kernel path computes
         # the identical float; hypot may differ from it by one ulp.
-        norm = math.sqrt(hp.a * hp.a + hp.b * hp.b)
-        tol = _EPS * (norm if norm > 0.0 else max(1.0, abs(hp.c)))
-        values = [hp.value(v) for v in verts]
-        if all(v <= tol for v in values):
+        a = hp.a
+        b = hp.b
+        c = hp.c
+        norm = math.sqrt(a * a + b * b)
+        tol = _EPS * (norm if norm > 0.0 else max(1.0, abs(c)))
+        # Halfplane.value, inlined: clipping sits on every cell's hot path.
+        values = [a * v.x + b * v.y - c for v in verts]
+        if max(values) <= tol:
             return self
-        if all(v >= -tol for v in values):
+        if min(values) >= -tol:
             # Entire polygon on or outside the boundary: at best a segment
             # remains, which has no interior.
             return ConvexPolygon.empty()
@@ -256,7 +260,17 @@ class ConvexPolygon:
             if cur_in:
                 out.append(cur)
             if cur_in != nxt_in:
+                # Clamped to the edge: with one endpoint inside but within
+                # ``tol`` of the line (0 < vc <= tol < vn, or the mirror
+                # case) the raw ratio leaves [0, 1] and would extrapolate
+                # past the edge.  Clamping keeps every clip output a convex
+                # combination of the input vertices, so the polygon only
+                # ever shrinks.
                 t = vc / (vc - vn)
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
                 out.append(
                     Point(cur.x + t * (nxt.x - cur.x), cur.y + t * (nxt.y - cur.y))
                 )

@@ -15,24 +15,41 @@ points whose Voronoi cells *may* intersect ``T``:
 
 The batch variant processes all cells of one ``R_Q`` leaf at once, which is
 what Algorithm 6 uses.
+
+Exactness contract of the scalar path.  Admission (:func:`_admits`) and
+Lemma-3 pruning (:func:`_entry_pruned`) run their distance tests on plain
+``(x, y, distance)`` float tuples with the exact expressions of
+``Point.distance_to`` and ``Rect.mindist_point``, so every comparison, the
+candidate order and every clip are the ones the ``Point``/``ConvexPolygon``
+formulation makes.  Admission may stop a cell early, once its MBR has left
+the batch's target MBR by a margin; clipping only shrinks a polygon (the
+crossing parameter is clamped to the edge), so the finished cell would
+have been rejected too.  The candidate list and :class:`FilterStats` are
+therefore those of building every approximate cell in full;
+``tests/join/test_conditional_filter.py`` keeps that formulation as the
+reference and checks the two agree.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
+from repro.geometry.tolerance import BOUNDARY_EPS
 from repro.index.rtree import RTree
 from repro.voronoi.cell import VoronoiCell
 
 _POINT = 0
 _CHILD = 1
+_BY_DISTANCE = itemgetter(0)
 
 
 @dataclass
@@ -126,11 +143,26 @@ def batch_conditional_filter(
     # Per-batch MBR work shared across all targets: the union MBR gives one
     # cheap rejection test before any per-target geometry runs.
     targets_mbr = Rect.union_all(target_mbrs)
+    targets = list(zip(target_mbrs, polygons))
+    # A running approximate cell whose MBR leaves this window can no longer
+    # reach any target (see _admits for why the margin makes that exact).
+    margin = BOUNDARY_EPS * max(
+        1.0, abs(domain.xmin), abs(domain.ymin), abs(domain.xmax), abs(domain.ymax)
+    )
+    window = (
+        targets_mbr.xmin - margin,
+        targets_mbr.ymin - margin,
+        targets_mbr.xmax + margin,
+        targets_mbr.ymax + margin,
+    )
+    domain_polygon = ConvexPolygon.from_rect(domain)
     # All target vertices, flattened once: the Lemma-3 pruning test only
     # needs per-vertex distance comparisons (see _entry_pruned).
-    target_vertices = [v for polygon in polygons for v in polygon.vertices]
+    target_vertices = [(v.x, v.y) for polygon in polygons for v in polygon.vertices]
 
     candidates: List[Tuple[int, Point]] = []
+    # The admitted points again as (x, y, point), for the float loops.
+    candidate_points: List[Tuple[float, float, Point]] = []
     counter = itertools.count()
     heap: List[tuple] = []
 
@@ -147,16 +179,20 @@ def batch_conditional_filter(
         if kind == _POINT:
             stats.points_examined += 1
             point: Point = entry.payload
-            approx = _approximate_cell(point, candidates, domain)
-            if _polygon_hits_any_target(approx, targets_mbr, target_mbrs, polygons):
+            if _admits(
+                point, candidate_points, domain_polygon, window, targets_mbr, targets
+            ):
                 candidates.append((entry.oid, point))
+                candidate_points.append((point.x, point.y, point))
                 stats.points_admitted += 1
         else:
             if _entry_overlaps_targets(entry.mbr, targets_mbr, target_mbrs, polygons):
                 stats.entries_expanded += 1
                 push_node(tree_p.read_node(entry.child_page))
                 continue
-            if use_phi_pruning and _entry_pruned(entry.mbr, target_vertices, candidates):
+            if use_phi_pruning and _entry_pruned(
+                entry.mbr, target_vertices, candidate_points
+            ):
                 stats.entries_pruned_phi += 1
                 continue
             stats.entries_expanded += 1
@@ -217,7 +253,7 @@ def _batch_conditional_filter_kernel(
             heapq.heappush(heap, (key, next(counter), kind, entry))
 
     def approximate_cell_ring(px: float, py: float):
-        """Kernel ``_approximate_cell``: vectorised candidate ordering, then
+        """Kernel ``_admits`` walk: vectorised candidate ordering, then
         the nearest-first Lemma-1 ring walk."""
         if candidates:
             dx = cx - px
@@ -239,8 +275,8 @@ def _batch_conditional_filter_kernel(
         return ring
 
     def ring_hits_any_target(ring) -> bool:
-        """Kernel ``_polygon_hits_any_target`` (union MBR, per-target MBR
-        mask, then array SAT in target order)."""
+        """Kernel twin of ``_admits``'s final hit test (union MBR,
+        per-target MBR mask, then array SAT in target order)."""
         if len(ring) < 3:
             return False
         rxs = [p[0] for p in ring]
@@ -330,66 +366,129 @@ def _batch_conditional_filter_kernel(
     return candidates
 
 
-def _approximate_cell(
-    point: Point, candidates: Sequence[Tuple[int, Point]], domain: Rect
-) -> ConvexPolygon:
-    """``V(p, C_P)``: the cell of ``p`` induced by the current candidates.
+def _admits(
+    point: Point,
+    candidate_points: Sequence[Tuple[float, float, Point]],
+    domain_polygon: ConvexPolygon,
+    window: Tuple[float, float, float, float],
+    targets_mbr: Rect,
+    targets: Sequence[Tuple[Rect, ConvexPolygon]],
+) -> bool:
+    """Whether ``point`` enters ``C_P``: does ``V(p, C_P)`` reach a target?
 
-    Because ``C_P ⊆ P``, this polygon is a superset of the exact cell
-    ``V(p, P)``; if it already misses every target, the exact cell misses
-    them too and ``p`` can be discarded.
+    ``V(p, C_P)`` is the cell of ``p`` induced by the current candidates.
+    Because ``C_P ⊆ P`` it is a superset of the exact cell ``V(p, P)``; if
+    it misses every target, the exact cell misses them too and ``p`` is
+    discarded.
 
-    The candidates are applied in ascending distance from ``p`` and skipped
-    once they can no longer refine the running polygon (Lemma 1 plus the
-    influence-radius shortcut), so the construction cost stays proportional
-    to the handful of candidates that actually shape the cell.
+    The cell is built from the domain by clipping with candidate bisectors
+    in ascending distance from ``p`` (a stable sort, so ties keep admission
+    order).  A candidate is clipped only when it beats some current vertex
+    ``v`` (Lemma 1: ``dist(o, v) < dist(p, v)``), and the walk stops at the
+    first candidate beyond twice the largest vertex distance (no later one
+    can beat any vertex).  All of this runs on ``(x, y, distance)`` float
+    tuples with ``Point.distance_to``'s exact ``sqrt(dx*dx + dy*dy)``
+    expression, so every Lemma-1 decision, and hence every clip, is the
+    one the plain ``ConvexPolygon``/``Point`` formulation makes.  The
+    final test is the union-MBR test, then per target an MBR test and the
+    closed separating-axis test.
+
+    Early exit: the walk returns ``False`` as soon as the running polygon's
+    vertex MBR clears the batch's union target MBR by more than the margin
+    baked into ``window``.  This cannot change the decision.  Every later
+    clip only shrinks the polygon: ``clip_halfplane`` emits input vertices
+    and crossing points with ``t`` clamped to ``[0, 1]``, i.e. convex
+    combinations of the input vertices, and deduplication only drops
+    vertices.  Rounding can move a crossing point out of the input's MBR
+    by a few ulps of the coordinate magnitude per clip; the margin,
+    ``BOUNDARY_EPS`` times the largest domain coordinate, exceeds that
+    drift for any realistic number of clips, so the final polygon's MBR
+    would miss the union MBR too.  The clips performed are therefore a
+    prefix of the full walk's clips, and the answer is the full walk's.
     """
-    polygon = ConvexPolygon.from_rect(domain)
-    ordered = sorted(
-        (
-            (point.distance_to(other), other)
-            for _, other in candidates
-            if other.x != point.x or other.y != point.y
-        ),
-        key=lambda pair: pair[0],
-    )
-    # Distances from the examined point to the current cell vertices are
-    # cached so the Lemma-1 check costs one distance per (candidate, vertex).
-    vertex_dists = [(v, point.distance_to(v)) for v in polygon.vertices]
-    reach = 2.0 * max(d for _, d in vertex_dists)
-    for distance, other in ordered:
+    px = point.x
+    py = point.y
+    sqrt = math.sqrt
+    ordered = []
+    for ox, oy, other in candidate_points:
+        if ox != px or oy != py:
+            dx = px - ox
+            dy = py - oy
+            ordered.append((sqrt(dx * dx + dy * dy), ox, oy, other))
+    ordered.sort(key=_BY_DISTANCE)
+
+    polygon = domain_polygon
+    ring, reach, xmin, ymin, xmax, ymax = _vertex_ring(px, py, polygon.vertices)
+    wxmin, wymin, wxmax, wymax = window
+    for distance, ox, oy, other in ordered:
         if distance > reach:
             break
-        if not any(other.distance_to(v) < d for v, d in vertex_dists):
-            continue
+        for vx, vy, vd in ring:
+            dx = ox - vx
+            dy = oy - vy
+            if sqrt(dx * dx + dy * dy) < vd:
+                break
+        else:
+            continue  # beats no vertex: cannot refine the cell (Lemma 1)
         polygon = polygon.clip_halfplane(bisector_halfplane(point, other))
-        if polygon.is_empty():
-            break
-        vertex_dists = [(v, point.distance_to(v)) for v in polygon.vertices]
-        reach = 2.0 * max(d for _, d in vertex_dists)
-    return polygon
+        vertices = polygon.vertices
+        if len(vertices) < 3:
+            return False
+        ring, reach, xmin, ymin, xmax, ymax = _vertex_ring(px, py, vertices)
+        if xmax < wxmin or wxmax < xmin or ymax < wymin or wymax < ymin:
+            return False
 
-
-def _polygon_hits_any_target(
-    polygon: ConvexPolygon,
-    targets_mbr: Rect,
-    target_mbrs: Sequence[Rect],
-    targets: Sequence[ConvexPolygon],
-) -> bool:
-    """Whether ``polygon`` intersects at least one target cell.
-
-    The batch-wide union MBR rejects most candidates with one test; a
-    per-target MBR test then precedes the exact convex intersection test.
-    """
-    if polygon.is_empty():
+    if (
+        xmax < targets_mbr.xmin
+        or targets_mbr.xmax < xmin
+        or ymax < targets_mbr.ymin
+        or targets_mbr.ymax < ymin
+    ):
         return False
-    mbr = polygon.bounding_rect()
-    if not mbr.intersects(targets_mbr):
-        return False
-    for target_mbr, target in zip(target_mbrs, targets):
-        if mbr.intersects(target_mbr) and polygon.intersects(target):
+    for target_mbr, target in targets:
+        if (
+            xmax < target_mbr.xmin
+            or target_mbr.xmax < xmin
+            or ymax < target_mbr.ymin
+            or target_mbr.ymax < ymin
+        ):
+            continue
+        if polygon.intersects(target):
             return True
     return False
+
+
+def _vertex_ring(px: float, py: float, vertices: Sequence[Point]):
+    """``(ring, reach, xmin, ymin, xmax, ymax)`` of a cell polygon.
+
+    ``ring`` holds ``(x, y, dist(p, v))`` per vertex, ``reach`` is twice
+    the largest of those distances (the influence radius) and the rest is
+    the vertex MBR.
+    """
+    sqrt = math.sqrt
+    ring = []
+    far = 0.0
+    v0 = vertices[0]
+    xmin = xmax = v0.x
+    ymin = ymax = v0.y
+    for v in vertices:
+        vx = v.x
+        vy = v.y
+        dx = px - vx
+        dy = py - vy
+        d = sqrt(dx * dx + dy * dy)
+        ring.append((vx, vy, d))
+        if d > far:
+            far = d
+        if vx < xmin:
+            xmin = vx
+        elif vx > xmax:
+            xmax = vx
+        if vy < ymin:
+            ymin = vy
+        elif vy > ymax:
+            ymax = vy
+    return ring, 2.0 * far, xmin, ymin, xmax, ymax
 
 
 def _entry_overlaps_targets(
@@ -414,8 +513,8 @@ def _entry_overlaps_targets(
 
 def _entry_pruned(
     mbr: Rect,
-    target_vertices: Sequence[Point],
-    candidates: Sequence[Tuple[int, Point]],
+    target_vertices: Sequence[Tuple[float, float]],
+    candidate_points: Sequence[Tuple[float, float, Point]],
 ) -> bool:
     """Lemma-3 pruning: some candidate blocks the whole subtree.
 
@@ -429,11 +528,29 @@ def _entry_pruned(
     uses that equivalent form; :func:`repro.geometry.influence.polygon_within_phi`
     implements the literal per-side formulation and the test-suite checks
     that the two agree.
+
+    The per-vertex mindists are computed once per entry, with the exact
+    expressions of ``Rect.mindist_point`` and ``Point.distance_to``.
     """
-    for _, candidate in candidates:
-        if all(
-            candidate.distance_to(v) <= mbr.mindist_point(v) for v in target_vertices
-        ):
+    if not candidate_points:
+        return False
+    sqrt = math.sqrt
+    xmin = mbr.xmin
+    ymin = mbr.ymin
+    xmax = mbr.xmax
+    ymax = mbr.ymax
+    bounds = []
+    for vx, vy in target_vertices:
+        dx = max(xmin - vx, 0.0, vx - xmax)
+        dy = max(ymin - vy, 0.0, vy - ymax)
+        bounds.append((vx, vy, sqrt(dx * dx + dy * dy)))
+    for cx, cy, _ in candidate_points:
+        for vx, vy, bound in bounds:
+            dx = cx - vx
+            dy = cy - vy
+            if sqrt(dx * dx + dy * dy) > bound:
+                break
+        else:
             return True
     return False
 

@@ -160,6 +160,12 @@ class PageServer:
         if self._stopping.is_set():
             return
         self._stopping.set()
+        # Closing the listener alone does not wake an accept() blocked in
+        # another thread on Linux; shutting it down first does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -686,6 +692,9 @@ class RemotePageStore(PageStoreBase):
                 self._rpc({"op": "shutdown"})
             except (PageServerError, ServiceError):
                 pass
+            # Nothing more goes over this connection: release it before
+            # waiting for the server's clean exit.
+            self._drop_main_connection()
             self._server.stop(grace=2.0)
             if self._finalizer is not None:
                 self._finalizer.detach()

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import sqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry.halfplane import bisector_halfplane
-from repro.geometry.point import Point, centroid, dist
+from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
 from repro.index.entries import LeafEntry
@@ -65,19 +66,41 @@ class _MemberState:
         self.update_reach()
 
     def update_reach(self) -> None:
-        """Recompute the cached vertex distances and the influence radius."""
-        site = self.site
-        self.vertex_dists = [(v, site.distance_to(v)) for v in self.polygon.vertices]
-        self.reach = (
-            2.0 * max(d for _, d in self.vertex_dists) if self.vertex_dists else 0.0
-        )
+        """Recompute the cached vertex distances and the influence radius.
+
+        ``vertex_dists`` holds ``(x, y, dist(site, v))`` float tuples so the
+        Lemma-1/2 loops below run without method calls; every distance uses
+        the exact expression of ``Point.distance_to`` /
+        ``Rect.mindist_point``, so each decision is unchanged.
+        """
+        sx = self.site.x
+        sy = self.site.y
+        ring = []
+        far = 0.0
+        for v in self.polygon.vertices:
+            vx = v.x
+            vy = v.y
+            dx = sx - vx
+            dy = sy - vy
+            d = sqrt(dx * dx + dy * dy)
+            ring.append((vx, vy, d))
+            if d > far:
+                far = d
+        self.vertex_dists = ring
+        self.reach = 2.0 * far
 
     def point_can_refine(self, other: Point) -> bool:
         """Lemma 1 with the cheap radius pre-check."""
-        if self.site.distance_to(other) > self.reach:
+        ox = other.x
+        oy = other.y
+        dx = self.site.x - ox
+        dy = self.site.y - oy
+        if sqrt(dx * dx + dy * dy) > self.reach:
             return False
-        for gamma, gamma_dist in self.vertex_dists:
-            if dist(other, gamma) < gamma_dist:
+        for vx, vy, vd in self.vertex_dists:
+            dx = ox - vx
+            dy = oy - vy
+            if sqrt(dx * dx + dy * dy) < vd:
                 return True
         return False
 
@@ -85,8 +108,14 @@ class _MemberState:
         """Lemma 2 with the cheap radius pre-check."""
         if mbr.mindist_point(self.site) > self.reach:
             return False
-        for gamma, gamma_dist in self.vertex_dists:
-            if mbr.mindist_point(gamma) < gamma_dist:
+        xmin = mbr.xmin
+        ymin = mbr.ymin
+        xmax = mbr.xmax
+        ymax = mbr.ymax
+        for vx, vy, vd in self.vertex_dists:
+            dx = max(xmin - vx, 0.0, vx - xmax)
+            dy = max(ymin - vy, 0.0, vy - ymax)
+            if sqrt(dx * dx + dy * dy) < vd:
                 return True
         return False
 

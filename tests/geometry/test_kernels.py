@@ -187,6 +187,28 @@ class TestDegenerateClipResults:
         assert gk.clip_ring(ring, a, b, c) == []
         assert scalar_clip(ring, a, b, c) == []
 
+    @pytest.mark.parametrize("near, far", [(0.5, 1.5), (1.5, 0.5)])
+    def test_endpoint_within_tolerance_does_not_extrapolate(self, near, far):
+        """An edge with one endpoint inside the tolerance band and the
+        other outside: both kernels clamp the crossing parameter to [0, 1]
+        like the scalar clip, so the result stays inside the input MBR and
+        all three agree."""
+        ring = [
+            (0.0, 0.0),
+            (5.0 + near * BOUNDARY_EPS, 0.0),
+            (5.0 + far * BOUNDARY_EPS, 10.0),
+            (0.0, 10.0),
+        ]
+        expected = scalar_clip(ring, 1.0, 0.0, 5.0)  # x <= 5
+        assert gk.clip_ring(ring, 1.0, 0.0, 5.0) == expected
+        arr = gk.clip_halfplane_array(
+            np.array(ring, dtype=np.float64), 1.0, 0.0, 5.0
+        )
+        assert [tuple(row) for row in arr.tolist()] == expected
+        xmax = max(x for x, _ in ring)
+        for x, y in expected:
+            assert 0.0 <= x <= xmax and 0.0 <= y <= 10.0
+
     def test_empty_inputs_are_inert(self):
         empty = np.empty((0, 2), dtype=np.float64)
         square = np.array(UNIT_SQUARE, dtype=np.float64)

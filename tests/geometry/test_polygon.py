@@ -1,11 +1,16 @@
 """Tests for repro.geometry.polygon (convex polygons and clipping)."""
 
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.halfplane import Halfplane, bisector_halfplane
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
+from repro.geometry.tolerance import BOUNDARY_EPS
 
 UNIT_SQUARE = Rect(0.0, 0.0, 10.0, 10.0)
 
@@ -118,6 +123,73 @@ class TestClipping:
         a = tri.clip_rect(window)
         b = tri.intersection(ConvexPolygon.from_rect(window))
         assert a.area() == pytest.approx(b.area(), rel=1e-9)
+
+
+class TestClipStaysInsideInput:
+    """Clipping may only shrink a polygon: every output vertex is an input
+    vertex or a point on an input edge.  An endpoint within the clip
+    tolerance of the line used to push the crossing parameter outside
+    [0, 1] and extrapolate past the edge."""
+
+    @staticmethod
+    def assert_inside_mbr(clipped, polygon, slack=0.0):
+        box = polygon.bounding_rect()
+        for v in clipped.vertices:
+            assert box.contains_point(v, eps=slack), (v, box)
+
+    def test_inside_endpoint_within_tolerance_does_not_extrapolate(self):
+        # (5 + eps/2, 0) is kept as inside (within tol of x = 5) while its
+        # successor (5 + 3eps/2, 10) is outside: the raw ratio is t = -0.5.
+        ring = ConvexPolygon(
+            [
+                Point(0.0, 0.0),
+                Point(5.0 + 0.5 * BOUNDARY_EPS, 0.0),
+                Point(5.0 + 1.5 * BOUNDARY_EPS, 10.0),
+                Point(0.0, 10.0),
+            ]
+        )
+        clipped = ring.clip_halfplane(Halfplane(1.0, 0.0, 5.0))  # x <= 5
+        self.assert_inside_mbr(clipped, ring)
+        assert Point(5.0, -5.0) not in clipped.vertices
+
+    def test_outside_endpoint_into_tolerance_band_does_not_extrapolate(self):
+        # The mirror case: the edge runs from outside into the tolerance
+        # band, so the raw ratio exceeds 1.
+        ring = ConvexPolygon(
+            [
+                Point(0.0, 0.0),
+                Point(5.0 + 1.5 * BOUNDARY_EPS, 0.0),
+                Point(5.0 + 0.5 * BOUNDARY_EPS, 10.0),
+                Point(0.0, 10.0),
+            ]
+        )
+        clipped = ring.clip_halfplane(Halfplane(1.0, 0.0, 5.0))
+        self.assert_inside_mbr(clipped, ring)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 10_000.0), st.floats(0.0, 10_000.0)),
+            min_size=3,
+            max_size=3,
+        ),
+        st.integers(0, 2),
+        st.floats(0.0, 2.0 * math.pi),
+        st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_clip_through_a_near_vertex_stays_inside_input_mbr(
+        self, corners, pivot, angle, offset
+    ):
+        """Halfplanes whose line passes within ~2 tolerances of a vertex."""
+        polygon = ConvexPolygon([Point(x, y) for x, y in corners])
+        assume(not polygon.is_empty())
+        vertex = polygon.vertices[pivot % len(polygon)]
+        a, b = math.cos(angle), math.sin(angle)
+        norm = math.sqrt(a * a + b * b)
+        c = a * vertex.x + b * vertex.y + offset * BOUNDARY_EPS * norm
+        clipped = polygon.clip_halfplane(Halfplane(a, b, c))
+        # Crossing points are rounded convex combinations of two vertices.
+        self.assert_inside_mbr(clipped, polygon, slack=4 * math.ulp(10_000.0))
 
 
 class TestIntersection:

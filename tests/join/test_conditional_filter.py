@@ -1,12 +1,20 @@
 """Tests for the ConditionalFilter (Algorithm 5) and its batch variant."""
 
+import heapq
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import DOMAIN, uniform_points
 from repro.datasets.workload import build_indexed_pointset
+from repro.geometry.halfplane import bisector_halfplane
 from repro.geometry.influence import entry_pruned_by_candidate, polygon_within_phi, rect_sides
-from repro.geometry.point import Point
+from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon
 from repro.geometry.rect import Rect
+from repro.geometry.tolerance import BOUNDARY_EPS
+from repro.index.bulkload import bulk_load_points
 from repro.index.rtree import RTree
 from repro.join.conditional_filter import (
     FilterStats,
@@ -15,6 +23,7 @@ from repro.join.conditional_filter import (
     conditional_filter,
 )
 from repro.storage.disk import DiskManager
+from repro.voronoi.batch import compute_cells_for_leaf
 from repro.voronoi.cell import VoronoiCell
 from repro.voronoi.diagram import brute_force_cell, brute_force_diagram
 
@@ -151,3 +160,217 @@ class TestReuseBufferHelper:
         missing, reused = candidate_cells_from_buffer([(1, Point(99.0, 99.0))], buffer)
         assert reused == {}
         assert missing == [(1, Point(99.0, 99.0))]
+
+
+# ----------------------------------------------------------------------
+# Differential test: the float fast path against the plain formulation
+# ----------------------------------------------------------------------
+def reference_filter(targets, tree_p, domain, use_phi_pruning=True, stats=None):
+    """The scalar filter as first written, on ``Point``/``ConvexPolygon``
+    objects: build each approximate cell in full, then test it.  The
+    production filter must return the same candidate list and counters."""
+    polygons = [t for t in targets if not t.is_empty()]
+    if not polygons or tree_p.is_empty():
+        return []
+    stats = stats if stats is not None else FilterStats()
+    group_center = centroid([polygon.centroid() for polygon in polygons])
+    target_mbrs = [polygon.bounding_rect() for polygon in polygons]
+    targets_mbr = Rect.union_all(target_mbrs)
+    target_vertices = [v for polygon in polygons for v in polygon.vertices]
+    candidates = []
+    counter = itertools.count()
+    heap = []
+
+    def push_node(node):
+        kind = 0 if node.is_leaf else 1
+        for entry in node.entries:
+            key = entry.mbr.mindist_point(group_center)
+            heapq.heappush(heap, (key, next(counter), kind, entry))
+
+    push_node(tree_p.read_node(tree_p.root_page))
+    while heap:
+        _, _, kind, entry = heapq.heappop(heap)
+        stats.heap_pops += 1
+        if kind == 0:
+            stats.points_examined += 1
+            point = entry.payload
+            approx = reference_approximate_cell(point, candidates, domain)
+            if reference_hits_any_target(approx, targets_mbr, target_mbrs, polygons):
+                candidates.append((entry.oid, point))
+                stats.points_admitted += 1
+        else:
+            if reference_overlaps_targets(entry.mbr, targets_mbr, target_mbrs, polygons):
+                stats.entries_expanded += 1
+                push_node(tree_p.read_node(entry.child_page))
+                continue
+            if use_phi_pruning and reference_entry_pruned(
+                entry.mbr, target_vertices, candidates
+            ):
+                stats.entries_pruned_phi += 1
+                continue
+            stats.entries_expanded += 1
+            push_node(tree_p.read_node(entry.child_page))
+    return candidates
+
+
+def reference_approximate_cell(point, candidates, domain):
+    polygon = ConvexPolygon.from_rect(domain)
+    ordered = sorted(
+        (
+            (point.distance_to(other), other)
+            for _, other in candidates
+            if other.x != point.x or other.y != point.y
+        ),
+        key=lambda pair: pair[0],
+    )
+    vertex_dists = [(v, point.distance_to(v)) for v in polygon.vertices]
+    reach = 2.0 * max(d for _, d in vertex_dists)
+    for distance, other in ordered:
+        if distance > reach:
+            break
+        if not any(other.distance_to(v) < d for v, d in vertex_dists):
+            continue
+        polygon = polygon.clip_halfplane(bisector_halfplane(point, other))
+        if polygon.is_empty():
+            break
+        vertex_dists = [(v, point.distance_to(v)) for v in polygon.vertices]
+        reach = 2.0 * max(d for _, d in vertex_dists)
+    return polygon
+
+
+def reference_hits_any_target(polygon, targets_mbr, target_mbrs, targets):
+    if polygon.is_empty():
+        return False
+    mbr = polygon.bounding_rect()
+    if not mbr.intersects(targets_mbr):
+        return False
+    for target_mbr, target in zip(target_mbrs, targets):
+        if mbr.intersects(target_mbr) and polygon.intersects(target):
+            return True
+    return False
+
+
+def reference_overlaps_targets(mbr, targets_mbr, target_mbrs, polygons):
+    if not mbr.intersects(targets_mbr):
+        return False
+    for target_mbr, polygon in zip(target_mbrs, polygons):
+        if mbr.intersects(target_mbr) and polygon.intersects_rect(mbr):
+            return True
+    return False
+
+
+def reference_entry_pruned(mbr, target_vertices, candidates):
+    for _, candidate in candidates:
+        if all(
+            candidate.distance_to(v) <= mbr.mindist_point(v) for v in target_vertices
+        ):
+            return True
+    return False
+
+
+def assert_filter_matches_reference(targets, tree_p, domain, use_phi_pruning):
+    ref_stats = FilterStats()
+    new_stats = FilterStats()
+    expected = reference_filter(
+        targets, tree_p, domain, use_phi_pruning=use_phi_pruning, stats=ref_stats
+    )
+    actual = batch_conditional_filter(
+        targets, tree_p, domain, use_phi_pruning=use_phi_pruning, stats=new_stats
+    )
+    assert actual == expected
+    assert new_stats == ref_stats
+
+
+#: Small pages give multi-level trees at hypothesis sizes, so the Lemma-3
+#: branch sees non-leaf entries.
+SMALL_PAGE = 256
+
+
+@st.composite
+def filter_cases(draw):
+    """A pointset, a batch of target cells and a domain, in unit coordinates
+    later scaled by a power of two (exact in binary floating point)."""
+    unit = st.floats(0.0, 10_000.0, allow_nan=False, allow_infinity=False)
+    layout = draw(st.sampled_from(["uniform", "grid", "duplicates", "cluster"]))
+    if layout == "uniform":
+        coords = draw(st.lists(st.tuples(unit, unit), min_size=4, max_size=60))
+    elif layout == "grid":
+        # A coarse lattice: many exactly equal distances, so the stable
+        # tie order of the candidate sort and the strict Lemma-1/Lemma-3
+        # comparisons are exercised.
+        step = st.integers(0, 20).map(lambda i: i * 500.0)
+        coords = draw(st.lists(st.tuples(step, step), min_size=4, max_size=60))
+    elif layout == "duplicates":
+        pool = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=6))
+        coords = draw(st.lists(st.sampled_from(pool), min_size=4, max_size=40))
+        coords += draw(st.lists(st.tuples(unit, unit), max_size=20))
+    else:
+        cx, cy = draw(st.tuples(unit, unit))
+        radius = draw(st.sampled_from([BOUNDARY_EPS, 1e-3, 1.0, 50.0]))
+        offset = st.floats(-radius, radius, allow_nan=False)
+        coords = [
+            (min(max(cx + dx, 0.0), 10_000.0), min(max(cy + dy, 0.0), 10_000.0))
+            for dx, dy in draw(
+                st.lists(st.tuples(offset, offset), min_size=4, max_size=50)
+            )
+        ]
+        coords += draw(st.lists(st.tuples(unit, unit), max_size=15))
+    # Query sites: one pinned to a domain corner, so its cell (a target)
+    # touches that corner; the others anywhere.
+    corner = draw(st.sampled_from([(0.0, 0.0), (10_000.0, 0.0), (0.0, 10_000.0),
+                                   (10_000.0, 10_000.0)]))
+    sites = [corner] + draw(
+        st.lists(st.tuples(unit, unit), min_size=1, max_size=8, unique=True)
+    )
+    batch = draw(st.integers(1, min(4, len(sites))))
+    scale = 2.0 ** draw(st.integers(-12, 12))
+    return coords, sites, batch, scale
+
+
+class TestFilterMatchesReference:
+    """The admission fast path (float loops, early exit) and the Lemma-3
+    rewrite must reproduce the plain formulation decision for decision."""
+
+    @given(filter_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_and_stats_match_reference(self, case, use_phi_pruning):
+        coords, sites, batch, scale = case
+        domain = Rect(0.0, 0.0, 10_000.0 * scale, 10_000.0 * scale)
+        points = [Point(x * scale, y * scale) for x, y in coords]
+        q_sites = [Point(x * scale, y * scale) for x, y in sites]
+        q_sites = list(dict.fromkeys(q_sites))  # scaling keeps them distinct
+        targets = [
+            brute_force_cell(site, q_sites, domain).polygon
+            for site in q_sites[:batch]
+        ]
+        disk = DiskManager()
+        with disk.suspend_io_accounting():
+            tree_p = bulk_load_points(
+                disk, "RP", points, domain=domain, page_size=SMALL_PAGE
+            )
+        assert_filter_matches_reference(targets, tree_p, domain, use_phi_pruning)
+
+    def test_corner_rectangle_targets_match_reference(self):
+        points = uniform_points(150, seed=140)
+        _, tree_p = indexed(points)
+        for corner in (Rect(0.0, 0.0, 300.0, 200.0), Rect(9800.0, 9700.0, 10_000.0, 10_000.0)):
+            for use_phi_pruning in (True, False):
+                assert_filter_matches_reference(
+                    [ConvexPolygon.from_rect(corner)], tree_p, DOMAIN, use_phi_pruning
+                )
+
+    def test_every_nm_leaf_batch_matches_reference(self):
+        """Realistic batches: the Voronoi cells of every R_Q leaf, as NM-CIJ
+        feeds them to the filter."""
+        disk = DiskManager()
+        points_p = uniform_points(300, seed=141)
+        points_q = uniform_points(300, seed=142)
+        tree_p = build_indexed_pointset(disk, "RP", points_p, domain=DOMAIN)
+        tree_q = build_indexed_pointset(disk, "RQ", points_q, domain=DOMAIN)
+        for leaf in tree_q.iter_leaf_nodes():
+            cells = compute_cells_for_leaf(tree_q, leaf.entries, DOMAIN)
+            targets = [cell.polygon for cell in cells.values()]
+            for use_phi_pruning in (True, False):
+                assert_filter_matches_reference(
+                    targets, tree_p, DOMAIN, use_phi_pruning
+                )

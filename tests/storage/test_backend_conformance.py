@@ -499,3 +499,29 @@ class TestRemotePageServer:
             assert stats.bytes_prefetched > 0
         finally:
             store.close()
+
+    def test_owned_server_closes_promptly_and_exits_by_itself(self):
+        """``close()`` on an owned server must not sit out the shutdown
+        grace: the server leaves its accept loop on the ``shutdown`` op and
+        exits cleanly, so the terminate fallback never fires."""
+        import time
+
+        from repro.storage.pageserver import RemotePageStore
+
+        store = RemotePageStore(backing="file")
+        store.write_page(1, "RP", {"x": 1}, 1024)
+        process = store._server.process
+        terminated = []
+        real_terminate = process.terminate
+
+        def recording_terminate():
+            terminated.append(True)
+            real_terminate()
+
+        process.terminate = recording_terminate
+        started = time.perf_counter()
+        store.close()
+        elapsed = time.perf_counter() - started
+        assert terminated == []
+        assert process.returncode == 0
+        assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
